@@ -35,11 +35,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_engine(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--engine", default="reference",
+            "--engine", default=None,
             choices=["reference", "fast"],
-            help="simulation engine: the reference cycle loop or the "
-                 "flit-identical fast engine with event skipping "
-                 "(see docs/SIMULATOR.md)",
+            help="simulation engine: the flit-identical fast engine "
+                 "with event skipping (the default) or the reference "
+                 "cycle loop (see docs/SIMULATOR.md)",
         )
 
     def add_serve(p: argparse.ArgumentParser) -> None:
@@ -534,6 +534,13 @@ def _workload_usage_error(args: argparse.Namespace, prog: str):
     return None
 
 
+def _with_engine(config: SimConfig, args: argparse.Namespace) -> SimConfig:
+    """Apply an explicit ``--engine``; without one, keep the config's."""
+    if args.engine is None:
+        return config
+    return config.with_(engine=args.engine)
+
+
 def _start_server(spec: Optional[str]):
     """Start a telemetry server for --serve and announce its URL."""
     if spec is None:
@@ -600,13 +607,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         measure=args.measure,
         drain=args.drain,
         seed=args.seed,
-        engine=args.engine,
         verify=args.verify or None,
         profile=args.profile,
         alerts=args.alerts,
         serve=server,
         sample_interval=args.sample_interval,
     )
+    config = _with_engine(config, args)
     try:
         result = run_simulation(config, keep_engine=args.profile)
     finally:
@@ -685,8 +692,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         measure=args.measure,
         drain=args.drain,
         seed=args.seed,
-        engine=args.engine,
     )
+    base = _with_engine(base, args)
     workers = args.workers if args.workers > 0 else None
     cache = None if args.no_cache else SweepCache(args.cache_dir)
     rows = load_sweep(
@@ -774,8 +781,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         title = f"{args.routing} / {args.pattern} / load {args.load}"
-    if args.engine != "reference":
-        config = config.with_(engine=args.engine)
+    config = _with_engine(config, args)
     if args.workload is not None:
         config = config.with_(workload=args.workload)
         title += f" / workload {args.workload}"

@@ -1,10 +1,11 @@
 """Drop-in fast engine: identical protocol behaviour, far fewer cycles.
 
-``FastEngine`` is a second implementation of :class:`Engine` selected
-via ``SimConfig(engine="fast")``.  It produces *flit-for-flit identical*
-runs — same events, same reports, same RNG draw sequence — by running
-the exact same per-cycle phase functions as the reference engine, but
-only where work can exist:
+``FastEngine`` is the default engine (``SimConfig.engine == "fast"``);
+the reference :class:`Engine` stays as the readable oracle it is held
+to.  It produces *flit-for-flit identical* runs — same events, same
+reports, same RNG draw sequence — by running the exact same per-cycle
+phase functions as the reference engine, but only where work can
+exist:
 
 * **Batched credit processing.**  Channels built as
   :class:`LedgerChannel` register every scheduled credit return in a
@@ -13,7 +14,8 @@ only where work can exist:
   sweeping every channel in the network.  The ledger also maintains a
   struct-of-arrays mirror (per-channel pending counts and earliest due
   cycles, numpy-backed when available) used by the differential
-  equivalence snapshots and the benchmarks.
+  equivalence snapshots and the benchmarks; numpy is imported only
+  there, so building and running an engine never loads it.
 
 * **Activity sets.**  Receivers, injectors, and switch stages are only
   visited for nodes that can actually do something (staged arrivals,
@@ -27,8 +29,8 @@ only where work can exist:
   input of the relation (destination, DOR lane/dateline state,
   exhausted misroute budgets), falling back to live calls for
   relations that read live network state.  The cached tiers are the
-  real function's own output, so there is no re-implementation to
-  drift.
+  real function's own output, frozen to tuples and shared between
+  entries that agree, so there is no re-implementation to drift.
 
 * **Event skipping.**  When the network is quiescent — no arrivals
   staged, no kill wavefronts, no worms in flight, every queued message
@@ -42,19 +44,16 @@ only where work can exist:
 Configurations the fast path cannot accelerate faithfully — PCS probe
 circuits, the software-retry reliability layer, or networks built
 without :class:`LedgerChannel` — transparently fall back to the
-reference ``Engine.step`` per cycle, so ``engine="fast"`` is always
-safe to request.
+reference ``Engine.step`` per cycle, so the fast engine is a safe
+default for every configuration.
 """
 
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
-
-try:  # pragma: no cover - exercised implicitly on both kinds of host
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less fallback
-    _np = None
+from typing import (
+    TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..core.kill import KillManager
 from ..core.protocol import KillCause, ProtocolMode
@@ -78,9 +77,24 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.router import Router
 
 _INF = float("inf")
+#: a memoised routing answer: candidate tiers, most preferred first.
+Tiers = Tuple[Tuple[Candidate, ...], ...]
 _HEAD = FlitKind.HEAD
 _BODY = FlitKind.BODY
 _PAD = FlitKind.PAD
+
+
+def _numpy():
+    """numpy if importable, else None; only the snapshot paths call this.
+
+    Deferred so that ``import repro`` (every CLI call and fabric worker)
+    does not pay numpy's import time and memory.
+    """
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - numpy-less fallback
+        return None
+    return numpy
 
 
 class LedgerChannel(Channel):
@@ -179,10 +193,11 @@ class CreditLedger:
             min(due for due, _ in ch._pending) if ch._pending else -1
             for ch in self.channels
         ]
-        if _np is not None:
+        np = _numpy()
+        if np is not None:
             return (
-                _np.array(counts, dtype=_np.int64),
-                _np.array(earliest, dtype=_np.int64),
+                np.array(counts, dtype=np.int64),
+                np.array(earliest, dtype=np.int64),
             )
         return counts, earliest
 
@@ -205,13 +220,14 @@ def channel_state(engine: Engine):
     ]
     carried = [ch.flits_carried for ch in channels]
     pending = [len(ch._pending) for ch in channels]
-    if _np is not None:
+    np = _numpy()
+    if np is not None:
         return {
-            "credits": _np.array(credits_rows, dtype=_np.int64).reshape(
+            "credits": np.array(credits_rows, dtype=np.int64).reshape(
                 n, max_vcs
             ),
-            "flits_carried": _np.array(carried, dtype=_np.int64),
-            "pending": _np.array(pending, dtype=_np.int64),
+            "flits_carried": np.array(carried, dtype=np.int64),
+            "pending": np.array(pending, dtype=np.int64),
         }
     return {
         "credits": credits_rows,
@@ -237,15 +253,21 @@ class RoutingTable:
     been instance-patched (the mutation harness does this) — is called
     live every time.  Kind detection is deferred to the first lookup so
     patches applied after construction are honoured.
+
+    Cached entries are frozen to a tuple of tuples and interned: the
+    many keys whose relation yields equal tiers (every destination in
+    the same quadrant, say) share one object instead of each holding
+    fresh lists of fresh ``Candidate`` objects.
     """
 
-    __slots__ = ("routing", "_kind", "_resolved", "_cache")
+    __slots__ = ("routing", "_kind", "_resolved", "_cache", "_shared")
 
     def __init__(self, routing) -> None:
         self.routing = routing
         self._kind = "live"
         self._resolved = False
-        self._cache: Dict[tuple, List[List[Candidate]]] = {}
+        self._cache: Dict[tuple, Tiers] = {}
+        self._shared: Dict[Tiers, Tiers] = {}
 
     def _resolve(self) -> None:
         routing = self.routing
@@ -263,7 +285,7 @@ class RoutingTable:
 
     def candidates(
         self, router: "Router", message: "Message"
-    ) -> List[List[Candidate]]:
+    ) -> Sequence[Sequence[Candidate]]:
         if not self._resolved:
             self._resolve()
         kind = self._kind
@@ -292,7 +314,10 @@ class RoutingTable:
             return routing.candidates(router, message)
         tiers = self._cache.get(key)
         if tiers is None:
-            tiers = routing.candidates(router, message)
+            tiers = tuple(
+                tuple(tier) for tier in routing.candidates(router, message)
+            )
+            tiers = self._shared.setdefault(tiers, tiers)
             self._cache[key] = tiers
         return tiers
 
@@ -325,7 +350,7 @@ class FastEngine(Engine):
         # the source node when a killed message is requeued.
         self.kills = _FastKillManager(self)
         self._table = RoutingTable(self.routing)
-        self._eject_cache: Dict[int, List[List[Candidate]]] = {}
+        self._eject_cache: Dict[int, Tiers] = {}
         self.credit_ledger = CreditLedger(self._all_channels)
         fast_ok = True
         for chan in self._all_channels:
@@ -485,7 +510,9 @@ class FastEngine(Engine):
         if router.node_id == message.dst:
             tiers = self._eject_cache.get(router.node_id)
             if tiers is None:
-                tiers = [[Candidate(port, 0) for port in router.eject_ports]]
+                tiers = (
+                    tuple(Candidate(port, 0) for port in router.eject_ports),
+                )
                 self._eject_cache[router.node_id] = tiers
         else:
             tiers = self._table.candidates(router, message)

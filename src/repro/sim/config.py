@@ -133,11 +133,11 @@ class SimConfig:
     queue_cap: int = 64
     watchdog: int = 20000
     # --- engine implementation -----------------------------------------
-    # "reference" runs the plain per-cycle Engine; "fast" runs
-    # repro.network.fastengine.FastEngine (batched credits, memoised
-    # routing relations, event skipping) — flit-for-flit identical
-    # output, selected purely for speed.
-    engine: str = "reference"
+    # "fast" (the default) runs repro.network.fastengine.FastEngine
+    # (batched credits, memoised routing relations, event skipping);
+    # "reference" runs the plain per-cycle Engine, the readable oracle.
+    # The two are flit-for-flit identical, so this only changes speed.
+    engine: str = "fast"
     # --- observability -------------------------------------------------
     # When set, build() attaches a repro.obs.IntervalSampler collecting
     # time-series metrics every N cycles; run_simulation() then reports

@@ -110,15 +110,21 @@ def config_cache_key(config: SimConfig) -> Optional[str]:
     """Stable hash of a config, or None when the config is uncacheable.
 
     The key folds in every dataclass field (sorted by name), so any two
-    configs that could produce different rows hash differently.  Fields
-    whose values have no process-stable repr (default object reprs with
-    memory addresses — e.g. a hand-built fault model without
-    ``__repr__``) make the whole config uncacheable rather than risking
-    a wrong hit.
+    configs that could produce different rows hash differently.  The
+    ``engine`` choice is the exception: the engines are flit-identical
+    by contract, so it hashes as ``"reference"``, the value every key
+    carried before the fast engine became the default, and keys written
+    then still hit.  Fields whose values have no process-stable repr
+    (default object reprs with memory addresses — e.g. a hand-built
+    fault model without ``__repr__``) make the whole config uncacheable
+    rather than risking a wrong hit.
     """
     parts: List[str] = []
     for field in sorted(dataclasses.fields(config), key=lambda f: f.name):
-        text = _canonical(getattr(config, field.name))
+        if field.name == "engine":
+            text = repr("reference")
+        else:
+            text = _canonical(getattr(config, field.name))
         if text is None:
             return None
         parts.append(f"{field.name}={text}")

@@ -1,9 +1,9 @@
 """Run orchestration: warmup -> measurement -> drain -> result.
 
 Engine-agnostic: ``SimConfig.build`` hands back whichever engine the
-config selects (``engine="reference"`` or ``"fast"``), and because the
-fast engine is flit-for-flit identical, the orchestration — and every
-report field it produces — is byte-identical under either.
+config selects (the default ``engine="fast"`` or ``"reference"``), and
+because the fast engine is flit-for-flit identical, the orchestration —
+and every report field it produces — is byte-identical under either.
 """
 
 from __future__ import annotations

@@ -79,6 +79,10 @@ def fuzz_config(seed: int, index: int) -> SimConfig:
     num_vcs: Optional[int] = None
     if rng.random() < 0.3:
         num_vcs = 3 if scheme == "dor" else rng.randint(2, 3)
+        if scheme == "duato":
+            # Duato's escape structure needs 3 VCs.  Raised after the
+            # draw so the RNG sequence (and every corpus) is unchanged.
+            num_vcs = 3
 
     return SimConfig(
         topology=topology,

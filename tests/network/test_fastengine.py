@@ -7,8 +7,14 @@ same config, both engines, identical events/report/channel state.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
+from repro.network.engine import Engine
 from repro.network.fastengine import FastEngine
 from repro.network.message import reset_uid_counter
 from repro.obs.tracing import run_traced
@@ -19,6 +25,12 @@ from repro.verify import (
     engine_equivalence_presets,
     iter_fuzz_equivalence_configs,
 )
+from repro.verify.fuzz import DEFAULT_SEED
+
+#: the fuzz corpus seed; the nightly workflow rotates it (as it does for
+#: tests/verify/test_fuzz_smoke.py) so the engine differential keeps
+#: seeing new configurations.
+FUZZ_SEED = int(os.environ.get("CR_FUZZ_SEED", str(DEFAULT_SEED)))
 
 # Small-but-busy base for the targeted cases: large enough to exercise
 # kills/misrouting, small enough to keep the differential runs quick.
@@ -42,7 +54,7 @@ class TestFuzzCorpusEquivalence:
 
     @pytest.mark.parametrize(
         "index,config",
-        list(iter_fuzz_equivalence_configs()),
+        list(iter_fuzz_equivalence_configs(FUZZ_SEED)),
         ids=lambda value: (
             f"case{value:02d}" if isinstance(value, int) else ""
         ),
@@ -144,5 +156,43 @@ class TestEngineBehaviour:
         with pytest.raises(ValueError, match="unknown engine"):
             SimConfig(engine="bogus", **SMALL).build()
 
-    def test_reference_engine_is_the_default(self):
-        assert SimConfig(**SMALL).engine == "reference"
+    def test_routing_memo_shares_equal_tiers(self):
+        traced = self._run(routing="cr", num_vcs=2)
+        cache = traced.result.engine._table._cache
+        entries = list(cache.values())
+        assert entries and all(
+            isinstance(tiers, tuple)
+            and all(isinstance(tier, tuple) for tier in tiers)
+            for tiers in entries
+        )
+        # Equal answers are one interned object, not per-key copies.
+        assert len({id(tiers) for tiers in entries}) == len(set(entries))
+        assert len(set(entries)) < len(entries)
+
+
+class TestDefaultEngine:
+    def test_default_config_builds_fast_engine(self):
+        engine = SimConfig(**SMALL).build()
+        assert type(engine) is FastEngine
+
+    def test_reference_engine_still_selectable(self):
+        engine = SimConfig(engine="reference", **SMALL).build()
+        assert type(engine) is Engine
+
+    def test_quick_campaign_point_builds_fast_engine(self):
+        from repro.campaign import get_campaign
+
+        point = next(iter(get_campaign("fault-matrix").points()))
+        assert type(point.config.build()) is FastEngine
+
+    def test_import_repro_leaves_numpy_unloaded(self):
+        # numpy serves only the channel-state snapshots; every CLI call
+        # and fabric worker imports repro and must not pay for it.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print('numpy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert probe.stdout.strip() == "False"

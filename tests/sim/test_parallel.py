@@ -1,5 +1,7 @@
 """Parallel sweep executor and the deterministic result cache."""
 
+import dataclasses
+import hashlib
 import json
 import os
 
@@ -48,6 +50,53 @@ class TestCacheKey:
     def test_unstable_repr_is_uncacheable(self):
         config = tiny(fault_model=_NoRepr())
         assert config_cache_key(config) is None
+
+    def test_engine_choice_shares_one_key(self):
+        # Flit-identical engines compute the same rows, so a cache or
+        # store entry written under one must hit under the other.
+        assert config_cache_key(tiny(engine="fast")) == config_cache_key(
+            tiny(engine="reference")
+        )
+
+    def test_keys_written_before_the_fast_default_still_hit(self):
+        # Before the fast engine became the default, every field was
+        # hashed verbatim and configs carried engine="reference".
+        def pre_flip_key(config):
+            parts = [
+                f"{field.name}="
+                f"{parallel._canonical(getattr(config, field.name))}"
+                for field in sorted(
+                    dataclasses.fields(config), key=lambda f: f.name
+                )
+            ]
+            return hashlib.sha256(";".join(parts).encode()).hexdigest()
+
+        for config in (SimConfig(), tiny(), tiny(routing="fcr")):
+            assert config.engine == "fast"
+            assert config_cache_key(config) == pre_flip_key(
+                config.with_(engine="reference")
+            )
+
+    def test_every_other_field_changes_the_key(self):
+        base = tiny()
+        key = config_cache_key(base)
+        for field in dataclasses.fields(base):
+            if field.name == "engine":
+                continue
+            value = getattr(base, field.name)
+            if isinstance(value, bool):
+                other = not value
+            elif isinstance(value, (int, float)):
+                other = value + 1
+            elif isinstance(value, str):
+                other = value + "x"
+            elif isinstance(value, dict):
+                other = {"k": 1}
+            else:
+                assert value is None, field.name
+                other = 7
+            changed = base.with_(**{field.name: other})
+            assert config_cache_key(changed) != key, field.name
 
 
 class TestRunReports:

@@ -216,6 +216,28 @@ class TestTraceCommand:
         assert code == 2
         assert "--profile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,expected",
+        [([], "FastEngine"), (["--engine", "fast"], "FastEngine"),
+         (["--engine", "reference"], "Engine")],
+    )
+    def test_engine_flag_selects_the_engine(
+        self, flag, expected, monkeypatch, capsys
+    ):
+        import repro.obs as obs
+
+        ran = []
+        real_run_traced = obs.run_traced
+
+        def spy(config, **kwargs):
+            traced = real_run_traced(config, **kwargs)
+            ran.append(type(traced.result.engine).__name__)
+            return traced
+
+        monkeypatch.setattr(obs, "run_traced", spy)
+        assert cli_main(self.ARGS + flag) == 0
+        assert ran == [expected]
+
 
 class TestExperimentCommand:
     def test_cheap_experiment_quick_scale(self, capsys):

@@ -41,6 +41,21 @@ class TestCorpusDeterminism:
         for index in range(DEFAULT_CASES):
             assert fuzz_config(SEED, index).verify is not None
 
+    def test_cases_build_across_many_seeds(self):
+        # Valid by construction for every seed the nightly job may
+        # pick, not just the pinned one: e.g. duato needs 3 VCs however
+        # num_vcs was drawn.
+        for seed in (*range(1, 41), DEFAULT_SEED, SEED):
+            for index in range(DEFAULT_CASES):
+                config = fuzz_config(seed, index)
+                try:
+                    config.build()
+                except ValueError as exc:
+                    pytest.fail(
+                        f"seed {seed} case {index} ({config.routing}) "
+                        f"does not build: {exc}"
+                    )
+
 
 @pytest.mark.parametrize("index", range(DEFAULT_CASES))
 def test_fuzz_case_holds_all_invariants(index):
